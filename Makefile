@@ -4,7 +4,7 @@
 # reduction cannot pass by luck.
 GO ?= go
 
-.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-synth bench-obs bench-flitsim bench-warm perf-synth bench-all fuzz
+.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-synth bench-obs bench-flitsim bench-warm perf-synth bench-floorplan bench-all fuzz
 
 verify: vet build race determinism
 
@@ -125,6 +125,20 @@ perf-synth:
 			-ratio 'BenchmarkSynthesizeFigure1Reference:BenchmarkSynthesizeFigure1' \
 			-ratio 'BenchmarkSynthesizeCG16Reference:BenchmarkSynthesizeCG16' \
 			-min-ratio 2 -min-alloc-ratio 5
+
+# bench-floorplan is the placement speedup gate: it runs the floorplan
+# benchmarks together with their map-based reference twins (the placer the
+# flat-array one replaced, kept in reference_test.go and pinned
+# plan-identical by TestPlaceMatchesReference) and fails unless the flat
+# placer wins by >= 10x ns/op and >= 100x allocs/op on tree-broadcast-64 and
+# CG-16. Both placers run in the same invocation on the same machine, so
+# the gate needs no committed baseline to be meaningful.
+bench-floorplan:
+	$(GO) test -run '^$$' -bench 'Place(TreeBroadcast64|CG16)(Reference)?$$' -benchmem ./internal/floorplan \
+		| $(GO) run ./cmd/benchjson -o BENCH_floorplan.json -raw BENCH_floorplan.txt \
+			-ratio 'BenchmarkPlaceTreeBroadcast64Reference:BenchmarkPlaceTreeBroadcast64' \
+			-ratio 'BenchmarkPlaceCG16Reference:BenchmarkPlaceCG16' \
+			-min-ratio 10 -min-alloc-ratio 100
 
 bench: bench-synth bench-obs bench-flitsim bench-warm
 

@@ -12,10 +12,13 @@
 //     one tile, so mesh link area equals the link count; a torus needs the
 //     same switch area and twice the link area (Section 4.1).
 //   - Generated networks use the variable-orientation tiling of Figure
-//     6(b): switches are placed on the corner lattice by a seeded annealing
-//     optimizer; a link between switches at lattice (manhattan) distance d
-//     crosses max(0, d-1) tiles — zero for physically adjacent switches,
-//     "as much as two" for the farther pairs of Figure 6(b).
+//     6(b): switches are placed on the corner lattice by a deterministic
+//     greedy local search (switch relocations and swaps, then processor
+//     moves and swaps, committing strict improvements in a fixed order; it
+//     draws no random numbers); a link between switches at lattice
+//     (manhattan) distance d crosses max(0, d-1) tiles — zero for
+//     physically adjacent switches, "as much as two" for the farther pairs
+//     of Figure 6(b).
 //
 // The same geometry supplies per-link delays for the flit simulator: delay
 // equals a link's length in tiles with a minimum of one cycle.
@@ -23,7 +26,7 @@ package floorplan
 
 import (
 	"fmt"
-	"math/rand"
+	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/topology"
@@ -105,11 +108,11 @@ func TorusBaseline(procs int) (switchArea, linkArea int) {
 
 // Options tunes the placement search.
 type Options struct {
-	// Seed makes placement reproducible.
+	// Seed is accepted for symmetry with the other pipeline stages and
+	// for callers that record it; the search is deterministic and draws
+	// no random numbers, so the seed does not affect the plan.
 	Seed int64
-	// Restarts is the number of independent searches (default 4).
-	Restarts int
-	// Sweeps bounds improvement passes per restart (default 64).
+	// Sweeps bounds the improvement passes (default 64).
 	Sweeps int
 	// Obs receives telemetry: a span per Place call plus the floorplan.*
 	// counters. Nil disables telemetry at zero cost.
@@ -119,9 +122,6 @@ type Options struct {
 // Normalized returns the options with every zero field replaced by its
 // documented default.
 func (o Options) Normalized() Options {
-	if o.Restarts == 0 {
-		o.Restarts = 4
-	}
 	if o.Sweeps == 0 {
 		o.Sweeps = 64
 	}
@@ -129,8 +129,8 @@ func (o Options) Normalized() Options {
 }
 
 // Place computes a variable-orientation floorplan for the network: switches
-// on corner-lattice points, processors on tiles, minimizing link area then
-// processor-link area. Deterministic for a given seed.
+// on corner-lattice points, processors on tiles, minimizing processor-link
+// area then link area. The plan depends only on the network.
 func Place(net *topology.Network, opt Options) (*Plan, error) {
 	if err := net.Validate(); err != nil {
 		return nil, fmt.Errorf("floorplan: %v", err)
@@ -143,82 +143,127 @@ func Place(net *topology.Network, opt Options) (*Plan, error) {
 	if net.NumSwitches() > corners {
 		return nil, fmt.Errorf("floorplan: %d switches exceed %d corner sites", net.NumSwitches(), corners)
 	}
-	var best *placement
-	for r := 0; r < opt.Restarts; r++ {
-		pl := newPlacement(net, rows, cols, rand.New(rand.NewSource(opt.Seed+int64(r)*104729)))
-		pl.optimize(opt.Sweeps)
-		if best == nil || pl.cost() < best.cost() {
-			best = pl
-		}
-	}
-	plan := best.plan()
+	pl := newPlacement(net, rows, cols)
+	pl.optimize(opt.Sweeps)
+	plan := pl.plan()
 	obs.Count(opt.Obs, "floorplan.place_calls", 1)
-	obs.Count(opt.Obs, "floorplan.restarts", int64(opt.Restarts))
 	obs.Count(opt.Obs, "floorplan.link_area", int64(plan.LinkArea))
 	obs.Count(opt.Obs, "floorplan.switch_area", int64(plan.SwitchArea))
 	return plan, nil
 }
 
-// placement is the mutable search state.
+// procWeight scales processor-link area above link area in the search cost.
+const procWeight = 1024
+
+// pipeEnd is one pipe seen from a switch: the switch at its far end and
+// its width.
+type pipeEnd struct {
+	nb topology.SwitchID
+	w  int
+}
+
+// placement is the search state on flat row-major grids: corner (r, c) is
+// index r*(cols+1)+c and tile (r, c) is index r*cols+c.
 type placement struct {
 	net        *topology.Network
 	rows, cols int
-	rng        *rand.Rand
-	swPos      []Point // per switch
-	posUsed    map[Point]topology.SwitchID
-	procTile   []Point // per proc
-	tileUsed   map[Point]int
+	home       []topology.SwitchID // per proc
+	adj        [][]pipeEnd         // per switch, by ascending neighbor
+	cornerPt   []Point             // per corner
+	tilePt     []Point             // per tile
+	// cornerTiles lists the in-grid tiles touching each corner, in the
+	// order the matching tries them: up-left, up, left, then the corner's
+	// own tile.
+	cornerTiles [][]int32
+
+	swPos    []Point // per switch
+	cornerSw []int32 // per corner: its switch, or -1
+	procTile []int32 // per proc: its tile
+	tileProc []int32 // per tile: its proc, or -1
+	link     int     // link area of swPos
+
+	// Scratch for costReassigned: the re-placed assignment, and the
+	// generation-stamped visited marks of the augmenting-path search.
+	matchTile []int32  // per tile: proc, or -1
+	matchProc []int32  // per proc: tile, or -1
+	seen      []uint32 // per tile
+	gen       uint32
 }
 
-func newPlacement(net *topology.Network, rows, cols int, rng *rand.Rand) *placement {
+func newPlacement(net *topology.Network, rows, cols int) *placement {
+	ns, nc, nt := net.NumSwitches(), (rows+1)*(cols+1), rows*cols
 	pl := &placement{
-		net:      net,
-		rows:     rows,
-		cols:     cols,
-		rng:      rng,
-		swPos:    make([]Point, net.NumSwitches()),
-		posUsed:  make(map[Point]topology.SwitchID),
-		procTile: make([]Point, net.Procs),
-		tileUsed: make(map[Point]int),
+		net:         net,
+		rows:        rows,
+		cols:        cols,
+		home:        net.Home,
+		adj:         make([][]pipeEnd, ns),
+		cornerPt:    make([]Point, nc),
+		tilePt:      make([]Point, nt),
+		cornerTiles: make([][]int32, nc),
+		swPos:       make([]Point, ns),
+		cornerSw:    make([]int32, nc),
+		procTile:    make([]int32, net.Procs),
+		tileProc:    make([]int32, nt),
+		matchTile:   make([]int32, nt),
+		matchProc:   make([]int32, net.Procs),
+		seen:        make([]uint32, nt),
+	}
+	for _, pipe := range net.Pipes {
+		pl.adj[pipe.A] = append(pl.adj[pipe.A], pipeEnd{pipe.B, pipe.Width})
+		pl.adj[pipe.B] = append(pl.adj[pipe.B], pipeEnd{pipe.A, pipe.Width})
+	}
+	for _, ends := range pl.adj {
+		sort.Slice(ends, func(i, j int) bool { return ends[i].nb < ends[j].nb })
+	}
+	for r := 0; r <= rows; r++ {
+		for c := 0; c <= cols; c++ {
+			i := r*(cols+1) + c
+			pl.cornerPt[i] = Point{r, c}
+			pl.cornerSw[i] = -1
+			for _, t := range [4]Point{{r - 1, c - 1}, {r - 1, c}, {r, c - 1}, {r, c}} {
+				if t.R >= 0 && t.R < rows && t.C >= 0 && t.C < cols {
+					pl.cornerTiles[i] = append(pl.cornerTiles[i], int32(t.R*cols+t.C))
+				}
+			}
+		}
+	}
+	for t := range pl.tilePt {
+		pl.tilePt[t] = Point{t / cols, t % cols}
+		pl.tileProc[t] = -1
 	}
 	// Initial switch placement: greedy BFS from the highest-degree
 	// switch, each next switch at the free corner minimizing cost to its
 	// already-placed neighbors.
-	order := pl.bfsOrder()
-	placed := make([]bool, net.NumSwitches())
-	for _, sw := range order {
-		bestP := Point{-1, -1}
-		bestCost := 1 << 30
-		for r := 0; r <= rows; r++ {
-			for c := 0; c <= cols; c++ {
-				p := Point{r, c}
-				if _, used := pl.posUsed[p]; used {
-					continue
-				}
-				cost := 0
-				for _, nb := range pl.net.Neighbors(sw) {
-					if placed[nb] {
-						w := 1
-						if pipe, ok2 := pl.net.PipeBetween(sw, nb); ok2 {
-							w = pipe.Width
-						}
-						cost += w * linkCost(p, pl.swPos[nb])
-					}
-				}
-				if cost < bestCost {
-					bestCost = cost
-					bestP = p
+	placed := make([]bool, ns)
+	for _, sw := range pl.bfsOrder() {
+		best, bestCost := -1, 1<<30
+		for c, occ := range pl.cornerSw {
+			if occ >= 0 {
+				continue
+			}
+			cost := 0
+			for _, e := range pl.adj[sw] {
+				if placed[e.nb] {
+					cost += e.w * linkCost(pl.cornerPt[c], pl.swPos[e.nb])
 				}
 			}
+			if cost < bestCost {
+				best, bestCost = c, cost
+			}
 		}
-		pl.setSwitch(sw, bestP)
+		pl.swPos[sw] = pl.cornerPt[best]
+		pl.cornerSw[best] = int32(sw)
 		placed[sw] = true
 	}
-	// Initial processor placement: adjacent free tile when possible.
-	for p := 0; p < net.Procs; p++ {
-		home := net.Home[p]
-		tile := pl.bestTileFor(home)
-		pl.setProc(p, tile)
+	for _, pipe := range net.Pipes {
+		pl.link += pipe.Width * linkCost(pl.swPos[pipe.A], pl.swPos[pipe.B])
+	}
+	// Initial processor placement: the nearest free tile.
+	for p, sw := range pl.home {
+		t := pl.nearestFree(pl.tileProc, pl.swPos[sw])
+		pl.procTile[p] = int32(t)
+		pl.tileProc[t] = int32(p)
 	}
 	return pl
 }
@@ -228,7 +273,11 @@ func (pl *placement) bfsOrder() []topology.SwitchID {
 	start := topology.SwitchID(0)
 	bestDeg := -1
 	for sw := 0; sw < n; sw++ {
-		if d := pl.net.Degree(topology.SwitchID(sw)); d > bestDeg {
+		d := len(pl.net.Switches[sw].Procs)
+		for _, e := range pl.adj[sw] {
+			d += e.w
+		}
+		if d > bestDeg {
 			bestDeg = d
 			start = topology.SwitchID(sw)
 		}
@@ -237,10 +286,10 @@ func (pl *placement) bfsOrder() []topology.SwitchID {
 	order := []topology.SwitchID{start}
 	visited[start] = true
 	for i := 0; i < len(order); i++ {
-		for _, nb := range pl.net.Neighbors(order[i]) {
-			if !visited[nb] {
-				visited[nb] = true
-				order = append(order, nb)
+		for _, e := range pl.adj[order[i]] {
+			if !visited[e.nb] {
+				visited[e.nb] = true
+				order = append(order, e.nb)
 			}
 		}
 	}
@@ -253,243 +302,215 @@ func (pl *placement) bfsOrder() []topology.SwitchID {
 	return order
 }
 
-func (pl *placement) setSwitch(sw topology.SwitchID, p Point) {
-	old := pl.swPos[sw]
-	if pl.posUsed[old] == sw {
-		delete(pl.posUsed, old)
+// corner is the index of lattice point p.
+func (pl *placement) corner(p Point) int { return p.R*(pl.cols+1) + p.C }
+
+// linkAt is the link area of sw's pipes at the current positions.
+func (pl *placement) linkAt(sw topology.SwitchID) int {
+	total := 0
+	for _, e := range pl.adj[sw] {
+		total += e.w * linkCost(pl.swPos[sw], pl.swPos[e.nb])
 	}
+	return total
+}
+
+// moveSwitch puts sw at p and keeps the link area current. The corner
+// grid is the caller's to update: trial moves leave it alone.
+func (pl *placement) moveSwitch(sw topology.SwitchID, p Point) {
+	pl.link -= pl.linkAt(sw)
 	pl.swPos[sw] = p
-	pl.posUsed[p] = sw
+	pl.link += pl.linkAt(sw)
 }
 
-func (pl *placement) setProc(proc int, tile Point) {
-	old := pl.procTile[proc]
-	if pl.tileUsed[old] == proc+1 {
-		delete(pl.tileUsed, old)
-	}
-	pl.procTile[proc] = tile
-	pl.tileUsed[tile] = proc + 1
-}
-
-// bestTileFor returns the free tile minimizing distance to the switch's
-// corner.
-func (pl *placement) bestTileFor(sw topology.SwitchID) Point {
-	best := Point{-1, -1}
-	bestCost := 1 << 30
-	for r := 0; r < pl.rows; r++ {
-		for c := 0; c < pl.cols; c++ {
-			tile := Point{r, c}
-			if pl.tileUsed[tile] != 0 {
-				continue
-			}
-			cost := procCost(tile, pl.swPos[sw])
-			if cost < bestCost {
-				bestCost = cost
-				best = tile
-			}
+// nearestFree returns the first tile, in row-major order, that occ marks
+// free (-1) at minimum procCost to the corner sw, or -1 if none is free.
+func (pl *placement) nearestFree(occ []int32, sw Point) int {
+	best, bestCost := -1, 1<<30
+	for t, holder := range occ {
+		if holder >= 0 {
+			continue
+		}
+		if cost := procCost(pl.tilePt[t], sw); cost < bestCost {
+			best, bestCost = t, cost
 		}
 	}
 	return best
 }
 
 // procCost is the tiles crossed by the wire from a tile's NI to the
-// switch's corner: zero when the switch sits on one of the tile's corners.
+// switch's corner: the manhattan distance from the corner to the nearest of
+// the tile's four corners, zero when the switch sits on one of them.
 func procCost(tile, sw Point) int {
-	best := 1 << 30
-	for _, corner := range []Point{
-		{tile.R, tile.C}, {tile.R, tile.C + 1}, {tile.R + 1, tile.C}, {tile.R + 1, tile.C + 1},
-	} {
-		if d := manhattan(corner, sw); d < best {
-			best = d
-		}
-	}
-	return best
+	return axisGap(tile.R, sw.R) + axisGap(tile.C, sw.C)
 }
 
-func (pl *placement) linkArea() int {
-	total := 0
-	for _, pipe := range pl.net.Pipes {
-		total += pipe.Width * linkCost(pl.swPos[pipe.A], pl.swPos[pipe.B])
+// axisGap is the distance from x to the nearer of lo and lo+1.
+func axisGap(lo, x int) int {
+	switch {
+	case x < lo:
+		return lo - x
+	case x > lo+1:
+		return x - lo - 1
 	}
-	return total
+	return 0
 }
 
+// procArea is the processor-link area of the committed assignment.
 func (pl *placement) procArea() int {
 	total := 0
-	for p := 0; p < pl.net.Procs; p++ {
-		total += procCost(pl.procTile[p], pl.swPos[pl.net.Home[p]])
+	for p, t := range pl.procTile {
+		total += procCost(pl.tilePt[t], pl.swPos[pl.home[p]])
 	}
 	return total
 }
 
 // cost prioritizes processor adjacency (the paper's tiling always places a
 // tile's NI on a corner its switch occupies), then link area.
-func (pl *placement) cost() int { return pl.procArea()*1024 + pl.linkArea() }
+func (pl *placement) cost() int { return pl.procArea()*procWeight + pl.link }
 
-// adjacentTiles lists the tiles touching a corner point, in grid range.
-func (pl *placement) adjacentTiles(pt Point) []Point {
-	var out []Point
-	for _, t := range []Point{{pt.R - 1, pt.C - 1}, {pt.R - 1, pt.C}, {pt.R, pt.C - 1}, {pt.R, pt.C}} {
-		if t.R >= 0 && t.R < pl.rows && t.C >= 0 && t.C < pl.cols {
-			out = append(out, t)
+// augment extends the matching in matchTile/matchProc with proc p along an
+// augmenting path over tiles touching each processor's switch corner.
+func (pl *placement) augment(p int) bool {
+	for _, t := range pl.cornerTiles[pl.corner(pl.swPos[pl.home[p]])] {
+		if pl.seen[t] == pl.gen {
+			continue
+		}
+		pl.seen[t] = pl.gen
+		if holder := pl.matchTile[t]; holder < 0 || pl.augment(int(holder)) {
+			pl.matchTile[t] = int32(p)
+			pl.matchProc[p] = t
+			return true
 		}
 	}
-	return out
+	return false
 }
 
-// reassignProcs reassigns all processor tiles from scratch. Adjacency
-// (every processor on a tile touching its switch's corner) is a bipartite
-// matching problem, solved exactly with augmenting paths; processors the
-// matching cannot place adjacently fall back to the nearest free tile.
-func (pl *placement) reassignProcs() {
-	for p := range pl.procTile {
-		if pl.tileUsed[pl.procTile[p]] == p+1 {
-			delete(pl.tileUsed, pl.procTile[p])
+// costReassigned returns the cost the current switch positions have with
+// every processor re-placed from scratch, into matchProc: a maximum
+// matching of processors to tiles touching their switch's corner (augmenting
+// paths, processors in order), then the nearest free tile for each
+// processor the matching leaves out. It is a pure function of swPos and
+// leaves the committed assignment alone. Once the cost cannot fall below
+// bound it stops early and returns a value >= bound, with matchProc
+// incomplete.
+func (pl *placement) costReassigned(bound int) int {
+	if pl.link >= bound {
+		return pl.link
+	}
+	for t := range pl.matchTile {
+		pl.matchTile[t] = -1
+	}
+	for p := range pl.matchProc {
+		pl.matchProc[p] = -1
+	}
+	// Every tile touching an unmatched processor's corner stays matched,
+	// so each such processor lands at least one tile away.
+	cost := pl.link
+	for p := range pl.matchProc {
+		if pl.gen++; pl.gen == 0 {
+			clear(pl.seen)
+			pl.gen = 1
 		}
-	}
-	matchTile := make(map[Point]int) // tile -> proc+1
-	matchProc := make([]Point, pl.net.Procs)
-	for i := range matchProc {
-		matchProc[i] = Point{-1, -1}
-	}
-	var augment func(p int, visited map[Point]bool) bool
-	augment = func(p int, visited map[Point]bool) bool {
-		for _, t := range pl.adjacentTiles(pl.swPos[pl.net.Home[p]]) {
-			if visited[t] {
-				continue
+		if !pl.augment(p) {
+			if cost += procWeight; cost >= bound {
+				return cost
 			}
-			visited[t] = true
-			holder := matchTile[t] - 1
-			if holder < 0 || augment(holder, visited) {
-				matchTile[t] = p + 1
-				matchProc[p] = t
-				return true
-			}
-		}
-		return false
-	}
-	for p := 0; p < pl.net.Procs; p++ {
-		augment(p, make(map[Point]bool))
-	}
-	// Commit matched processors, then place the rest greedily.
-	for p := 0; p < pl.net.Procs; p++ {
-		if matchProc[p].R >= 0 {
-			pl.setProc(p, matchProc[p])
 		}
 	}
-	for p := 0; p < pl.net.Procs; p++ {
-		if matchProc[p].R < 0 {
-			pl.setProc(p, pl.bestTileFor(pl.net.Home[p]))
-		}
+	if cost == pl.link {
+		return cost
 	}
+	area := 0
+	for p, t := range pl.matchProc {
+		if t >= 0 {
+			continue
+		}
+		sw := pl.swPos[pl.home[p]]
+		free := pl.nearestFree(pl.matchTile, sw)
+		pl.matchTile[free] = int32(p)
+		pl.matchProc[p] = int32(free)
+		area += procCost(pl.tilePt[free], sw)
+	}
+	return area*procWeight + pl.link
 }
 
-// snapshotTiles and restoreTiles save and restore the processor assignment.
-func (pl *placement) snapshotTiles() []Point { return append([]Point(nil), pl.procTile...) }
-
-func (pl *placement) restoreTiles(tiles []Point) {
-	for p := range pl.procTile {
-		if pl.tileUsed[pl.procTile[p]] == p+1 {
-			delete(pl.tileUsed, pl.procTile[p])
-		}
-	}
-	for p, tile := range tiles {
-		pl.setProc(p, tile)
-	}
-}
-
-// costReassigned evaluates the cost the current switch placement would have
-// with processors reassigned from scratch, leaving the placement unchanged.
-func (pl *placement) costReassigned() int {
-	saved := pl.snapshotTiles()
-	pl.reassignProcs()
-	c := pl.cost()
-	pl.restoreTiles(saved)
-	return c
+// setProc moves processor p to the free tile t.
+func (pl *placement) setProc(p int, t int32) {
+	pl.tileProc[pl.procTile[p]] = -1
+	pl.procTile[p] = t
+	pl.tileProc[t] = int32(p)
 }
 
 // optimize runs improvement sweeps: switch relocations and swaps — each
 // evaluated with processors re-placed, since a switch move is only as good
 // as the tiles its processors can then claim — followed by processor-level
-// refinement. Strict improvements are committed.
+// refinement. Strict improvements are committed; candidates are tried in a
+// fixed order, so the search is deterministic.
 func (pl *placement) optimize(sweeps int) {
+	const unbounded = int(^uint(0) >> 1)
 	for sweep := 0; sweep < sweeps; sweep++ {
 		improved := false
 		for sw := 0; sw < pl.net.NumSwitches(); sw++ {
 			id := topology.SwitchID(sw)
-			cur := pl.costReassigned()
 			oldPos := pl.swPos[id]
-			bestPos := oldPos
-			bestCost := cur
-			for r := 0; r <= pl.rows; r++ {
-				for c := 0; c <= pl.cols; c++ {
-					p := Point{r, c}
-					if _, used := pl.posUsed[p]; used {
-						continue
-					}
-					pl.setSwitch(id, p)
-					if cost := pl.costReassigned(); cost < bestCost {
-						bestCost = cost
-						bestPos = p
-					}
+			best, bestCost := -1, pl.costReassigned(unbounded)
+			for c, occ := range pl.cornerSw {
+				if occ >= 0 {
+					continue
+				}
+				pl.moveSwitch(id, pl.cornerPt[c])
+				if cost := pl.costReassigned(bestCost); cost < bestCost {
+					best, bestCost = c, cost
 				}
 			}
-			pl.setSwitch(id, bestPos)
-			if bestPos != oldPos {
+			pl.moveSwitch(id, oldPos)
+			if best >= 0 {
+				pl.cornerSw[pl.corner(oldPos)] = -1
+				pl.cornerSw[best] = int32(id)
+				pl.moveSwitch(id, pl.cornerPt[best])
 				improved = true
 			}
 			// Swaps with other switches.
+			cur := bestCost
 			for other := sw + 1; other < pl.net.NumSwitches(); other++ {
 				oid := topology.SwitchID(other)
 				a, b := pl.swPos[id], pl.swPos[oid]
-				cur := pl.costReassigned()
-				pl.setSwitch(id, Point{-1, -1})
-				pl.setSwitch(oid, a)
-				pl.setSwitch(id, b)
-				if pl.costReassigned() < cur {
+				pl.moveSwitch(id, b)
+				pl.moveSwitch(oid, a)
+				if cost := pl.costReassigned(cur); cost < cur {
+					cur = cost
+					pl.cornerSw[pl.corner(a)] = int32(oid)
+					pl.cornerSw[pl.corner(b)] = int32(id)
 					improved = true
 				} else {
-					pl.setSwitch(id, Point{-1, -2})
-					pl.setSwitch(oid, b)
-					pl.setSwitch(id, a)
+					pl.moveSwitch(id, a)
+					pl.moveSwitch(oid, b)
 				}
 			}
 		}
 		// Commit the reassignment implied by the final switch layout if
-		// it helps, then refine processors individually.
-		if saved := pl.snapshotTiles(); true {
-			before := pl.cost()
-			pl.reassignProcs()
-			if pl.cost() < before {
-				improved = true
-			} else {
-				pl.restoreTiles(saved)
-			}
+		// it helps, then refine processors individually. A processor move
+		// or swap changes only the moved processors' wires.
+		if before := pl.cost(); pl.costReassigned(before) < before {
+			copy(pl.procTile, pl.matchProc)
+			copy(pl.tileProc, pl.matchTile)
+			improved = true
 		}
 		for p := 0; p < pl.net.Procs; p++ {
-			cur := pl.cost()
-			oldTile := pl.procTile[p]
-			tile := pl.bestTileFor(pl.net.Home[p])
-			if tile.R >= 0 {
-				pl.setProc(p, tile)
-				if pl.cost() < cur {
-					improved = true
-				} else {
-					pl.setProc(p, oldTile)
-				}
+			swP := pl.swPos[pl.home[p]]
+			if t := pl.nearestFree(pl.tileProc, swP); t >= 0 &&
+				procCost(pl.tilePt[t], swP) < procCost(pl.tilePt[pl.procTile[p]], swP) {
+				pl.setProc(p, int32(t))
+				improved = true
 			}
 			for q := p + 1; q < pl.net.Procs; q++ {
-				cur := pl.cost()
-				a, b := pl.procTile[p], pl.procTile[q]
-				pl.setProc(p, Point{-1, -1})
-				pl.setProc(q, a)
-				pl.setProc(p, b)
-				if pl.cost() < cur {
+				swQ := pl.swPos[pl.home[q]]
+				a, b := pl.tilePt[pl.procTile[p]], pl.tilePt[pl.procTile[q]]
+				if procCost(b, swP)+procCost(a, swQ) < procCost(a, swP)+procCost(b, swQ) {
+					pl.procTile[p], pl.procTile[q] = pl.procTile[q], pl.procTile[p]
+					pl.tileProc[pl.procTile[p]] = int32(p)
+					pl.tileProc[pl.procTile[q]] = int32(q)
 					improved = true
-				} else {
-					pl.setProc(p, Point{-1, -2})
-					pl.setProc(q, b)
-					pl.setProc(p, a)
 				}
 			}
 		}
@@ -500,13 +521,17 @@ func (pl *placement) optimize(sweeps int) {
 }
 
 func (pl *placement) plan() *Plan {
+	procTile := make([]Point, len(pl.procTile))
+	for p, t := range pl.procTile {
+		procTile[p] = pl.tilePt[t]
+	}
 	return &Plan{
 		Rows:         pl.rows,
 		Cols:         pl.cols,
 		SwitchPos:    append([]Point(nil), pl.swPos...),
-		ProcTile:     append([]Point(nil), pl.procTile...),
+		ProcTile:     procTile,
 		SwitchArea:   pl.net.NumSwitches(),
-		LinkArea:     pl.linkArea(),
+		LinkArea:     pl.link,
 		ProcLinkArea: pl.procArea(),
 	}
 }

@@ -2,6 +2,7 @@ package floorplan
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -110,6 +111,14 @@ func TestPlaceDeterministic(t *testing.T) {
 	if a.LinkArea != b.LinkArea || a.ProcLinkArea != b.ProcLinkArea {
 		t.Fatalf("nondeterministic placement: %d/%d vs %d/%d",
 			a.LinkArea, a.ProcLinkArea, b.LinkArea, b.ProcLinkArea)
+	}
+	// The search draws no random numbers: the seed does not matter.
+	c, err := Place(res.Net, Options{Seed: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(a, c) {
+		t.Fatalf("plan depends on the seed:\n%+v\n%+v", a, c)
 	}
 }
 

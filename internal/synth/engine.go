@@ -585,19 +585,17 @@ func (s *state) reset() {
 	s.growStride(8)
 	nf := len(s.flows)
 	words := (nf + 63) / 64
-	if words > s.bsWords {
-		// Pooled bitsets sized for a smaller flow universe cannot index
-		// this pattern's flow IDs; drop them and let setRouteRaw rebuild.
-		// Oversized sets are value-safe (AndCount/Intersects zero-extend).
-		for i := range s.pipes {
+	for i, set := range s.pipes {
+		switch {
+		case set == nil:
+		case len(set) < words:
+			// A pooled set sized for a smaller flow universe cannot
+			// index this pattern's flow IDs; drop it and let
+			// setRouteRaw rebuild it. Oversized sets are value-safe
+			// (AndCount/Intersects zero-extend).
 			s.pipes[i] = nil
-		}
-		s.bsWords = words
-	} else {
-		for _, set := range s.pipes {
-			if set != nil {
-				set.Reset()
-			}
+		default:
+			set.Reset()
 		}
 	}
 	for i := range s.pipeCount {

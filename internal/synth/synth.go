@@ -230,9 +230,6 @@ type state struct {
 	rng       *rand.Rand
 	opt       Options
 	stats     *Stats
-	// bsWords is the word capacity the pooled pipe bitsets were created
-	// with; reset() drops them when a new kernel needs more.
-	bsWords int
 	// seedFast marks a warm-started state whose trace structure is
 	// identical to its seed's and whose replay left no estimated
 	// violations: partition() skips the globalRefine polish once (the
