@@ -4,7 +4,7 @@
 # reduction cannot pass by luck.
 GO ?= go
 
-.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-synth bench-obs bench-flitsim bench-warm perf-synth bench-floorplan bench-all fuzz
+.PHONY: verify vet build test race determinism fleet cover-serve cover-collective cover-hier bench bench-synth bench-obs bench-flitsim bench-warm perf-synth bench-floorplan bench-key bench-all fuzz
 
 verify: vet build race determinism
 
@@ -140,13 +140,33 @@ bench-floorplan:
 			-ratio 'BenchmarkPlaceCG16Reference:BenchmarkPlaceCG16' \
 			-min-ratio 10 -min-alloc-ratio 100
 
+# bench-key is the cache-hit speedup gate: it runs the ring-allreduce-64
+# key and decode benchmarks together with their oracle twins (the v1 text
+# key kept in internal/serve/hash_test.go and the scanner decoder kept in
+# internal/trace/reference_test.go, which the equivalence tests and
+# FuzzDecodeMatchesReference pin to the new code) and fails unless Key wins
+# by >= 5x ns/op and >= 100x allocs/op and Decode by >= 1.3x ns/op and
+# >= 10x allocs/op. Both sides run in the same invocation on the same
+# machine, so the gate needs no committed baseline to be meaningful.
+bench-key:
+	$(GO) test -run '^$$' -bench '(KeyRing64|DecodeRing64)(Reference)?$$' -benchmem ./internal/serve ./internal/trace \
+		| $(GO) run ./cmd/benchjson -o BENCH_key.json -raw BENCH_key.txt \
+			-ratio 'BenchmarkKeyRing64Reference:BenchmarkKeyRing64:5:100' \
+			-ratio 'BenchmarkDecodeRing64Reference:BenchmarkDecodeRing64:1.3:10'
+
 bench: bench-synth bench-obs bench-flitsim bench-warm
 
 bench-all:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
+# fuzz runs every fuzz target for 30s. The two decoder targets bound input
+# minimization: left at its 60s default, minimizing an interesting input
+# near the 1 MiB line cap (or a slow-to-generate workload) stalls every
+# worker for the rest of the run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzCollectiveConfig -fuzztime 30s ./internal/collective
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 30s ./internal/hier
+	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 30s -fuzzminimizetime 100x ./internal/trace
+	$(GO) test -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s -fuzzminimizetime 100x ./internal/serve

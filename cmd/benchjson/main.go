@@ -19,7 +19,11 @@
 // speedup record ns(NUM)/ns(DEN); -ratio repeats to gate several pairs in
 // one run. With -min-ratio, the run fails when any measured ns/op ratio
 // falls below that floor; with -min-alloc-ratio (requires -benchmem
-// input), the same check applies to the allocs/op ratio. Because both
+// input), the same check applies to the allocs/op ratio. A spec of the form
+// NUM:DEN:MIN[:MINALLOC] sets that pair's own floors in place of the
+// global ones, so pairs with different expected speedups share one run
+// (`make bench-key` gates the key at >= 5x and the decoder at >= 1.3x).
+// Because both
 // sides run on the same machine in the same invocation, the gates are
 // machine-independent — `make bench-flitsim` holds the reference-engine/
 // event-engine speedup at >= 10x, and `make perf-synth` holds the
@@ -89,12 +93,12 @@ func main() {
 	baseline := flag.String("baseline", "", "baseline JSON report to annotate ns/op deltas against")
 	budget := flag.Float64("budget", 0, "fail when any matched benchmark is slower than -baseline by more than this percent")
 	var ratioSpecs []string
-	flag.Func("ratio", "NUM:DEN benchmark names; record the ns/op ratio ns(NUM)/ns(DEN) (repeatable)", func(v string) error {
+	flag.Func("ratio", "NUM:DEN[:MIN[:MINALLOC]] benchmark names and optional per-pair floors; record the ns/op ratio ns(NUM)/ns(DEN) (repeatable)", func(v string) error {
 		ratioSpecs = append(ratioSpecs, v)
 		return nil
 	})
-	minRatio := flag.Float64("min-ratio", 0, "fail when any -ratio ns/op value is below this floor")
-	minAllocRatio := flag.Float64("min-alloc-ratio", 0, "fail when any -ratio allocs/op value is below this floor (input must use -benchmem)")
+	minRatio := flag.Float64("min-ratio", 0, "fail when any -ratio ns/op value is below this floor (a floor in the -ratio spec wins)")
+	minAllocRatio := flag.Float64("min-alloc-ratio", 0, "fail when any -ratio allocs/op value is below this floor (input must use -benchmem; a floor in the -ratio spec wins)")
 	flag.Parse()
 
 	var rawBuf strings.Builder
@@ -159,20 +163,20 @@ func main() {
 			fatal(err)
 		}
 		rep.Ratios = append(rep.Ratios, *r)
-		if *minRatio > 0 && r.Value < *minRatio {
+		if r.MinRatio > 0 && r.Value < r.MinRatio {
 			regressions = append(regressions,
 				fmt.Sprintf("speedup %s / %s = %.2fx, below floor %.2fx",
-					r.Numerator, r.Denominator, r.Value, *minRatio))
+					r.Numerator, r.Denominator, r.Value, r.MinRatio))
 		}
-		if *minAllocRatio > 0 {
+		if r.MinAllocRatio > 0 {
 			if r.AllocValue == nil {
 				regressions = append(regressions,
 					fmt.Sprintf("alloc ratio %s / %s: allocs/op missing (run the benchmarks with -benchmem)",
 						r.Numerator, r.Denominator))
-			} else if *r.AllocValue < *minAllocRatio {
+			} else if *r.AllocValue < r.MinAllocRatio {
 				regressions = append(regressions,
 					fmt.Sprintf("alloc ratio %s / %s = %.2fx, below floor %.2fx",
-						r.Numerator, r.Denominator, *r.AllocValue, *minAllocRatio))
+						r.Numerator, r.Denominator, *r.AllocValue, r.MinAllocRatio))
 			}
 		}
 	}
@@ -203,11 +207,23 @@ func main() {
 }
 
 // computeRatio resolves one -ratio spec against the parsed results. Names
-// match with the GOMAXPROCS suffix stripped on both sides.
+// match with the GOMAXPROCS suffix stripped on both sides; floors given in
+// the spec override minRatio and minAllocRatio.
 func computeRatio(rep *Report, spec string, minRatio, minAllocRatio float64) (*Ratio, error) {
-	num, den, ok := strings.Cut(spec, ":")
-	if !ok || num == "" || den == "" {
-		return nil, fmt.Errorf("-ratio %q: want NUM:DEN benchmark names", spec)
+	parts := strings.Split(spec, ":")
+	if len(parts) < 2 || len(parts) > 4 || parts[0] == "" || parts[1] == "" {
+		return nil, fmt.Errorf("-ratio %q: want NUM:DEN[:MIN[:MINALLOC]]", spec)
+	}
+	num, den := parts[0], parts[1]
+	for i, floor := range []*float64{&minRatio, &minAllocRatio} {
+		if len(parts) <= 2+i {
+			break
+		}
+		v, err := strconv.ParseFloat(parts[2+i], 64)
+		if err != nil {
+			return nil, fmt.Errorf("-ratio %q: bad floor %q", spec, parts[2+i])
+		}
+		*floor = v
 	}
 	find := func(name string) (Result, error) {
 		want := stripGomaxprocs(name)

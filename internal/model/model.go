@@ -13,6 +13,7 @@ package model
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -94,8 +95,8 @@ type Pattern struct {
 	Phases []Phase
 }
 
-// Validate checks structural invariants: endpoint ranges, non-negative
-// durations, and phase indices.
+// Validate checks structural invariants: endpoint ranges, finite times,
+// non-negative durations, and phase indices.
 func (p *Pattern) Validate() error {
 	if p.Procs <= 0 {
 		return fmt.Errorf("pattern %q: Procs must be positive, got %d", p.Name, p.Procs)
@@ -106,6 +107,9 @@ func (p *Pattern) Validate() error {
 		}
 		if m.Dst < 0 || m.Dst >= p.Procs {
 			return fmt.Errorf("pattern %q: message %d destination %d out of range [0,%d)", p.Name, i, m.Dst, p.Procs)
+		}
+		if !finite(m.Start) || !finite(m.Finish) {
+			return fmt.Errorf("pattern %q: message %d has non-finite times (%g, %g)", p.Name, i, m.Start, m.Finish)
 		}
 		if m.Finish < m.Start {
 			return fmt.Errorf("pattern %q: message %d finishes (%g) before it starts (%g)", p.Name, i, m.Finish, m.Start)
@@ -120,12 +124,19 @@ func (p *Pattern) Validate() error {
 				return fmt.Errorf("pattern %q: phase %d references message %d, have %d messages", p.Name, pi, mi, len(p.Messages))
 			}
 		}
+		if !finite(ph.Start) || !finite(ph.Finish) || !finite(ph.ComputeAfter) {
+			return fmt.Errorf("pattern %q: phase %d has non-finite times (%g, %g, compute gap %g)", p.Name, pi, ph.Start, ph.Finish, ph.ComputeAfter)
+		}
 		if ph.ComputeAfter < 0 {
 			return fmt.Errorf("pattern %q: phase %d has negative compute gap %g", p.Name, pi, ph.ComputeAfter)
 		}
 	}
 	return nil
 }
+
+// finite reports whether f is neither NaN nor ±Inf. The ordered checks in
+// Validate are all false for NaN, so non-finite times are rejected first.
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // Flows returns the distinct flows of the pattern in sorted order,
 // excluding self-flows (src == dst), which never use the network.

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -53,6 +54,44 @@ func TestPatternValidate(t *testing.T) {
 	for _, p := range bad {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: invalid pattern accepted", p.Name)
+		}
+	}
+}
+
+// TestPatternValidateNonFinite pins that NaN and ±Inf times are rejected in
+// every time field. The ordered checks (Finish < Start, ComputeAfter < 0)
+// are all false for NaN, so without the finiteness check
+// "msg 0 0 1 NaN NaN 8" reached synthesis through an inline trace.
+func TestPatternValidateNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	withMsg := func(start, finish float64) *Pattern {
+		return &Pattern{Procs: 2, Messages: []Message{msg(0, 0, 1, start, finish)}}
+	}
+	withPhase := func(start, finish, gap float64) *Pattern {
+		return &Pattern{Procs: 2, Messages: []Message{msg(0, 0, 1, 0, 1)},
+			Phases: []Phase{{Start: start, Finish: finish, ComputeAfter: gap, Messages: []int{0}}}}
+	}
+	cases := []struct {
+		name string
+		p    *Pattern
+		ok   bool
+	}{
+		{"finite", withPhase(0, 1, 0.5), true},
+		{"negative zero", withMsg(math.Copysign(0, -1), 0), true},
+		{"msg start NaN", withMsg(nan, 1), false},
+		{"msg finish NaN", withMsg(0, nan), false},
+		{"msg both NaN", withMsg(nan, nan), false},
+		{"msg finish +Inf", withMsg(0, inf), false},
+		{"msg start -Inf", withMsg(-inf, 0), false},
+		{"phase start NaN", withPhase(nan, 1, 0), false},
+		{"phase finish +Inf", withPhase(0, inf, 0), false},
+		{"phase start -Inf", withPhase(-inf, 1, 0), false},
+		{"phase gap NaN", withPhase(0, 1, nan), false},
+		{"phase gap +Inf", withPhase(0, 1, inf), false},
+	}
+	for _, c := range cases {
+		if err := c.p.Validate(); (err == nil) != c.ok {
+			t.Errorf("%s: Validate() = %v, want ok=%t", c.name, err, c.ok)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -58,9 +59,12 @@ type diskStore struct {
 // it: every valid entry file is loaded and returned so the caller can
 // rebuild secondary indexes (the warm-start fingerprint index); stray temp
 // files and truncated, mis-keyed, checksum-failing, or otherwise unreadable
-// files are skipped and counted on serve.store_disk_corrupt. The scan order
-// is the directory's sorted filename order, so index rebuilds are
-// deterministic for a given directory state.
+// files are skipped and counted on serve.store_disk_corrupt. Intact entries
+// stored under another key scheme (a v1 "sha256:" key from an older server)
+// are stale: they are counted on serve.store_disk_stale, left on disk
+// untouched, and neither served nor indexed, since no current request keys
+// to them. The scan order is the directory's sorted filename order, so
+// index rebuilds are deterministic for a given directory state.
 func openDiskStore(dir string, col *obs.Collector) (*diskStore, []*Entry, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, fmt.Errorf("serve: creating data dir: %w", err)
@@ -84,6 +88,10 @@ func openDiskStore(dir string, col *obs.Collector) (*diskStore, []*Entry, error)
 			continue
 		}
 		ent, err := d.load(filepath.Join(dir, name))
+		if errors.Is(err, errStaleKey) {
+			obs.Count(col, "serve.store_disk_stale", 1)
+			continue
+		}
 		if err != nil {
 			obs.Count(col, "serve.store_disk_corrupt", 1)
 			continue
@@ -95,12 +103,14 @@ func openDiskStore(dir string, col *obs.Collector) (*diskStore, []*Entry, error)
 	return d, entries, nil
 }
 
-// fileName maps a content key to its file name: the bare hex for the
-// canonical sha256:<hex> form, or (defensively) a hash of the key string for
-// anything else, so no key can escape dir or collide with a temp name.
+// fileName maps a content key to its file name: v2-<hex> for the canonical
+// sha256v2:<hex> form, or (defensively) a hash of the key string for
+// anything else, so no key can escape dir or collide with a temp name. The
+// v2- prefix keeps current entries apart from the bare-<hex> files of v1
+// keys that an older server may have left in the directory.
 func fileName(key string) string {
-	if h, ok := strings.CutPrefix(key, "sha256:"); ok && len(h) == 64 && isLowerHex(h) {
-		return h + storeSuffix
+	if h, ok := strings.CutPrefix(key, keyPrefix); ok && len(h) == 64 && isLowerHex(h) {
+		return "v2-" + h + storeSuffix
 	}
 	return fmt.Sprintf("k%016x%s", hash64(key), storeSuffix)
 }
@@ -117,9 +127,14 @@ func isLowerHex(s string) bool {
 
 func (d *diskStore) path(key string) string { return filepath.Join(d.dir, fileName(key)) }
 
+// errStaleKey marks an entry file whose stored key belongs to another key
+// scheme than Key's.
+var errStaleKey = errors.New("stored under a stale key scheme")
+
 // load reads and verifies one entry file. Any mismatch — schema, version,
-// key↔filename binding, body checksum — is an error; the caller counts it
-// as corruption and skips the file.
+// key scheme, key↔filename binding, body checksum — is an error; the caller
+// counts a stale key scheme as stale and anything else as corruption, and
+// skips the file.
 func (d *diskStore) load(path string) (*Entry, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -131,6 +146,9 @@ func (d *diskStore) load(path string) (*Entry, error) {
 	}
 	if sf.Schema != storeSchema || sf.Version != storeVersion {
 		return nil, fmt.Errorf("serve: %s: unknown store schema %q v%d", path, sf.Schema, sf.Version)
+	}
+	if !strings.HasPrefix(sf.Key, keyPrefix) {
+		return nil, fmt.Errorf("serve: %s: key %q: %w", path, sf.Key, errStaleKey)
 	}
 	if filepath.Base(path) != fileName(sf.Key) {
 		return nil, fmt.Errorf("serve: %s: key %q does not match filename", path, sf.Key)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -126,6 +127,88 @@ func TestDiskStoreSkipsCorruption(t *testing.T) {
 	}
 }
 
+// TestDiskStoreStaleV1Entry pins the key-scheme change on disk: an intact
+// entry an older server stored under a v1 "sha256:" key is counted on
+// serve.store_disk_stale (not as corruption), left untouched, and neither
+// served nor indexed; the request it answered misses, synthesizes, and is
+// stored as a v2 file next to the stale one.
+func TestDiskStoreStaleV1Entry(t *testing.T) {
+	dir := t.TempDir()
+	cfg := quickConfig()
+	cfg.DataDir = dir
+	const body = `{"benchmark":"CG","procs":16}`
+
+	// Build the v1 fixture from a real entry: same body, v1 key, v1 name.
+	srv1 := newTestServer(t, cfg)
+	ts1 := httptest.NewServer(srv1)
+	resp1, b1 := postDesign(t, ts1.URL, body)
+	ts1.Close()
+	if resp1.StatusCode != http.StatusOK {
+		t.Fatalf("first instance: status %d: %s", resp1.StatusCode, b1)
+	}
+	v2Key := resp1.Header.Get("X-Nocd-Pattern-Hash")
+	pat, opt, _, _, err := srv1.parseDesignRequest([]byte(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Key := keyV1(pat, opt)
+	raw, err := os.ReadFile(filepath.Join(dir, fileName(v2Key)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sf storeFile
+	if err := json.Unmarshal(raw, &sf); err != nil {
+		t.Fatal(err)
+	}
+	sf.Key = v1Key
+	v1Raw, err := json.Marshal(sf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1Path := filepath.Join(dir, strings.TrimPrefix(v1Key, "sha256:")+storeSuffix)
+	if err := os.WriteFile(v1Path, v1Raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, fileName(v2Key))); err != nil {
+		t.Fatal(err)
+	}
+
+	srv2 := newTestServer(t, cfg)
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	col := srv2.Metrics()
+	for name, want := range map[string]int64{
+		"serve.store_disk_stale":   1,
+		"serve.store_disk_corrupt": 0,
+		"serve.store_disk_scanned": 0,
+		"serve.warm_rebuilt":       0,
+	} {
+		if got := col.Counter(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if resp, _ := do(t, http.MethodGet, ts2.URL+"/v1/design/"+v1Key, ""); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET by v1 key: status %d, want 404", resp.StatusCode)
+	}
+
+	resp2, _ := postDesign(t, ts2.URL, body)
+	if got := resp2.Header.Get("X-Nocd-Cache"); got != "miss" {
+		t.Errorf("cache header = %q, want miss", got)
+	}
+	if got := resp2.Header.Get("X-Nocd-Pattern-Hash"); got != v2Key {
+		t.Errorf("key = %s, want %s", got, v2Key)
+	}
+	if got := col.Counter("synth.runs"); got != 1 {
+		t.Errorf("synth.runs = %d, want 1", got)
+	}
+	if _, err := os.Stat(filepath.Join(dir, fileName(v2Key))); err != nil {
+		t.Errorf("v2 entry not written: %v", err)
+	}
+	if after, err := os.ReadFile(v1Path); err != nil || !bytes.Equal(after, v1Raw) {
+		t.Errorf("stale v1 entry changed or removed (err %v)", err)
+	}
+}
+
 // TestDiskStoreGetRevalidates pins read-time verification: an entry that
 // rots after the startup scan reads as a miss (counted as corruption), so
 // the worst failure mode is a redundant synthesis, never bad bytes.
@@ -164,14 +247,18 @@ func TestDiskStoreGetRevalidates(t *testing.T) {
 }
 
 // TestDiskStoreFileNames pins the key→filename mapping: canonical keys map
-// to their bare hex, anything else is re-hashed so it cannot escape the
-// directory or collide with temp names.
+// to v2-<hex>, anything else — a v1 "sha256:" key included — is re-hashed so
+// it cannot escape the directory, collide with temp names, or land on the
+// bare-<hex> name a v1 entry has.
 func TestDiskStoreFileNames(t *testing.T) {
 	hex64 := strings.Repeat("ab", 32)
-	if got := fileName("sha256:" + hex64); got != hex64+storeSuffix {
+	if got := fileName("sha256v2:" + hex64); got != "v2-"+hex64+storeSuffix {
 		t.Errorf("canonical key filename = %q", got)
 	}
-	for _, k := range []string{"../../etc/passwd", "sha256:NOTHEX", "sha256:" + strings.Repeat("A", 64), "tmp-evil"} {
+	if got := fileName("sha256:" + hex64); got == hex64+storeSuffix {
+		t.Errorf("v1 key filename = %q, want it apart from v1 entry names", got)
+	}
+	for _, k := range []string{"../../etc/passwd", "sha256v2:NOTHEX", "sha256v2:" + strings.Repeat("A", 64), "tmp-evil"} {
 		got := fileName(k)
 		if strings.ContainsAny(got, "/\\") || strings.HasPrefix(got, storeTempPrefix) || !strings.HasSuffix(got, storeSuffix) {
 			t.Errorf("fileName(%q) = %q escapes or collides", k, got)

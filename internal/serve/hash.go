@@ -2,6 +2,7 @@ package serve
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"io"
@@ -11,29 +12,47 @@ import (
 	"repro/internal/trace"
 )
 
-// Key computes the content-addressed cache key for one design request: the
-// SHA-256 of the pattern's canonical noctrace v1 encoding concatenated (NUL-
-// separated) with the fingerprint of the output-affecting synthesis options.
+// keyPrefix starts every cache key Key returns. It names the key scheme:
+// a fleet must run one scheme, and the disk store treats entries under any
+// other prefix as stale (see diskstore.go).
+const keyPrefix = "sha256v2:"
+
+// Key computes the content-addressed cache key for one design request:
+// keyPrefix plus the hex SHA-256 of
+//
+//	canonical(pattern) field(OptionsFingerprint(opt)) field(extra)...
+//
+// where canonical is trace.WriteCanonical and field is a uvarint byte length
+// followed by the bytes. The canonical encoding hashes the same normalised
+// fields the noctrace v1 text carries, in binary, so two patterns share a key
+// exactly when they share their Encode text, without rendering a float.
 // Patterns arriving as inline traces are decoded before hashing, so comment
 // lines, blank lines, and whitespace variations never split the cache;
 // reordering message lines does produce a distinct key, which costs at most
 // a duplicate synthesis, never a wrong answer.
 //
-// Extra fingerprint components (NUL-separated, in order) extend the key for
-// request families beyond flat synthesis — a hierarchical request appends
-// its canonical cluster spec and per-level knobs, so flat keys are unchanged
-// and differently spelled but equivalent cluster specs share an entry.
+// Extra fingerprint components (in order) extend the key for request
+// families beyond flat synthesis — a hierarchical request appends its
+// canonical cluster spec and per-level knobs, so differently spelled but
+// equivalent cluster specs share an entry.
 func Key(p *model.Pattern, opt synth.Options, extra ...string) string {
 	h := sha256.New()
-	// Encode writes to an in-memory hash and cannot fail.
-	_ = trace.Encode(h, p)
-	io.WriteString(h, "\x00")
-	io.WriteString(h, OptionsFingerprint(opt))
+	// Writes to an in-memory hash cannot fail.
+	_ = trace.WriteCanonical(h, p)
+	writeField(h, OptionsFingerprint(opt))
 	for _, e := range extra {
-		io.WriteString(h, "\x00")
-		io.WriteString(h, e)
+		writeField(h, e)
 	}
-	return "sha256:" + hex.EncodeToString(h.Sum(nil))
+	var sum [sha256.Size]byte
+	return keyPrefix + hex.EncodeToString(h.Sum(sum[:0]))
+}
+
+// writeField writes s length-first, so consecutive fields never run together.
+// w is a hash, whose writes never fail.
+func writeField(w io.Writer, s string) {
+	var n [binary.MaxVarintLen64]byte
+	w.Write(binary.AppendUvarint(n[:0], uint64(len(s))))
+	io.WriteString(w, s)
 }
 
 // OptionsFingerprint renders every synth.Options knob that can change the

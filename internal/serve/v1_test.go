@@ -120,6 +120,34 @@ func TestErrorEnvelope(t *testing.T) {
 		}
 	})
 
+	// A non-finite time in an inline trace is a client error caught by
+	// pattern validation, before any key or synthesis work.
+	t.Run("400 bad_request non-finite trace", func(t *testing.T) {
+		srv := newTestServer(t, quickConfig())
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		for _, tr := range []string{
+			"noctrace v1\nprocs 2\nmsg 0 0 1 NaN NaN 8\n",
+			"noctrace v1\nprocs 2\nmsg 0 0 1 0 +Inf 8\n",
+			"noctrace v1\nprocs 2\nmsg 0 0 1 0 1 8\nphase p 0 1 NaN 0\n",
+		} {
+			body, _ := json.Marshal(DesignRequest{Trace: tr})
+			resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", string(body))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%q: status = %d, want 400", tr, resp.StatusCode)
+			}
+			if code := decodeEnvelope(t, resp, b); code != CodeBadRequest {
+				t.Errorf("%q: code = %q, want %q", tr, code, CodeBadRequest)
+			}
+			if !strings.Contains(string(b), "non-finite") {
+				t.Errorf("%q: error %q does not name the non-finite time", tr, b)
+			}
+		}
+		if got := srv.Metrics().Counter("synth.runs"); got != 0 {
+			t.Errorf("synth.runs = %d, want 0", got)
+		}
+	})
+
 	t.Run("404 not_found", func(t *testing.T) {
 		srv := newTestServer(t, quickConfig())
 		ts := httptest.NewServer(srv)
