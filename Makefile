@@ -159,10 +159,10 @@ bench: bench-synth bench-obs bench-flitsim bench-warm
 bench-all:
 	$(GO) test -bench=. -benchmem -run '^$$' ./...
 
-# fuzz runs every fuzz target for 30s. The two decoder targets bound input
+# fuzz runs every fuzz target for 30s. The three decoder targets bound input
 # minimization: left at its 60s default, minimizing an interesting input
-# near the 1 MiB line cap (or a slow-to-generate workload) stalls every
-# worker for the rest of the run.
+# near the 1 MiB line cap (or a slow-to-generate workload, or a mutated
+# multi-kilobyte saved design) stalls every worker for the rest of the run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTrace -fuzztime 30s ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzFingerprint -fuzztime 30s ./internal/trace
@@ -170,3 +170,4 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzPartition -fuzztime 30s ./internal/hier
 	$(GO) test -run '^$$' -fuzz FuzzDecodeMatchesReference -fuzztime 30s -fuzzminimizetime 100x ./internal/trace
 	$(GO) test -run '^$$' -fuzz FuzzDesignRequest -fuzztime 30s -fuzzminimizetime 100x ./internal/serve
+	$(GO) test -run '^$$' -fuzz FuzzLoadDesign -fuzztime 30s -fuzzminimizetime 100x ./internal/synth

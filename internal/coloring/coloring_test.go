@@ -16,22 +16,39 @@ func flowsN(n int) []model.Flow {
 	return fs
 }
 
-func fullContention(fs []model.Flow) model.PairSet {
-	c := model.NewPairSet()
-	for i := range fs {
-		for j := i + 1; j < len(fs); j++ {
-			c.Add(fs[i], fs[j])
+// graphOf builds the conflict graph over all of fs (distinct flows) with an
+// edge for every index pair in edges, through the dense production path.
+func graphOf(fs []model.Flow, edges [][2]int) *ConflictGraph {
+	ix := model.NewFlowIndex(fs)
+	return BuildConflictGraphBits(ix.Bits(fs), relation(ix, fs, edges))
+}
+
+// relation builds C over ix with an edge for every index pair (into fs) in
+// edges.
+func relation(ix *model.FlowIndex, fs []model.Flow, edges [][2]int) *model.ConflictMatrix {
+	cm := model.NewConflictMatrix(ix)
+	for _, e := range edges {
+		i, _ := ix.ID(fs[e[0]])
+		j, _ := ix.ID(fs[e[1]])
+		cm.Add(i, j)
+	}
+	return cm
+}
+
+// complete lists every index pair of an n-clique.
+func complete(n int) [][2]int {
+	var edges [][2]int
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			edges = append(edges, [2]int{i, j})
 		}
 	}
-	return c
+	return edges
 }
 
 func TestBuildConflictGraph(t *testing.T) {
 	fs := flowsN(4)
-	c := model.NewPairSet()
-	c.Add(fs[0], fs[1])
-	c.Add(fs[2], fs[3])
-	g := BuildConflictGraph(fs, c)
+	g := graphOf(fs, [][2]int{{0, 1}, {2, 3}})
 	if g.N() != 4 || g.Edges() != 2 {
 		t.Fatalf("graph: n=%d e=%d", g.N(), g.Edges())
 	}
@@ -43,11 +60,17 @@ func TestBuildConflictGraph(t *testing.T) {
 	if !g.Edge(idx[fs[0]], idx[fs[1]]) || g.Edge(idx[fs[0]], idx[fs[2]]) {
 		t.Fatal("wrong adjacency")
 	}
+	// A member subset keeps only the edges among its flows.
+	ix := model.NewFlowIndex(fs)
+	sub := BuildConflictGraphBits(ix.Bits(fs[1:]), relation(ix, fs, [][2]int{{0, 1}, {2, 3}}))
+	if sub.N() != 3 || sub.Edges() != 1 || sub.Flows[0] != fs[1] {
+		t.Fatalf("subset graph: n=%d e=%d flows=%v", sub.N(), sub.Edges(), sub.Flows)
+	}
 }
 
 func TestGreedyOnCompleteGraph(t *testing.T) {
 	fs := flowsN(5)
-	g := BuildConflictGraph(fs, fullContention(fs))
+	g := graphOf(fs, complete(5))
 	k, assign := g.Greedy()
 	if k != 5 {
 		t.Fatalf("K5 greedy colors = %d, want 5", k)
@@ -57,7 +80,7 @@ func TestGreedyOnCompleteGraph(t *testing.T) {
 
 func TestGreedyOnEmptyGraph(t *testing.T) {
 	fs := flowsN(6)
-	g := BuildConflictGraph(fs, model.NewPairSet())
+	g := graphOf(fs, nil)
 	k, assign := g.Greedy()
 	if k != 1 {
 		t.Fatalf("edgeless graph colors = %d, want 1", k)
@@ -66,7 +89,7 @@ func TestGreedyOnEmptyGraph(t *testing.T) {
 }
 
 func TestGreedyZeroVertices(t *testing.T) {
-	g := BuildConflictGraph(nil, model.NewPairSet())
+	g := graphOf(nil, nil)
 	if k, _ := g.Greedy(); k != 0 {
 		t.Fatalf("empty graph colors = %d", k)
 	}
@@ -78,11 +101,11 @@ func TestGreedyZeroVertices(t *testing.T) {
 func TestExactOddCycle(t *testing.T) {
 	// C5 needs 3 colors; DSATUR may also find 3, but exact must prove it.
 	fs := flowsN(5)
-	c := model.NewPairSet()
+	var c [][2]int
 	for i := 0; i < 5; i++ {
-		c.Add(fs[i], fs[(i+1)%5])
+		c = append(c, [2]int{i, (i + 1) % 5})
 	}
-	g := BuildConflictGraph(fs, c)
+	g := graphOf(fs, c)
 	k, assign, exact := g.Exact()
 	if k != 3 || !exact {
 		t.Fatalf("C5 chromatic = %d (exact=%v), want 3", k, exact)
@@ -93,13 +116,13 @@ func TestExactOddCycle(t *testing.T) {
 func TestExactBipartite(t *testing.T) {
 	// K3,3 is 2-chromatic; greedy may or may not see it, exact must.
 	fs := flowsN(6)
-	c := model.NewPairSet()
+	var c [][2]int
 	for i := 0; i < 3; i++ {
 		for j := 3; j < 6; j++ {
-			c.Add(fs[i], fs[j])
+			c = append(c, [2]int{i, j})
 		}
 	}
-	g := BuildConflictGraph(fs, c)
+	g := graphOf(fs, c)
 	k, assign, exact := g.Exact()
 	if k != 2 || !exact {
 		t.Fatalf("K3,3 chromatic = %d (exact=%v), want 2", k, exact)
@@ -121,32 +144,50 @@ func checkProper(t *testing.T, g *ConflictGraph, assign []int) {
 	}
 }
 
+// fastColorOf runs FastColorBits for the pipe flows against the cliques
+// over one index of universe.
+func fastColorOf(universe []model.Flow, cliques []model.Clique, pipe []model.Flow) int {
+	ix := model.NewFlowIndex(universe)
+	return FastColorBits(ix.CliqueBits(cliques), ix.Bits(pipe))
+}
+
 func TestFastColor(t *testing.T) {
 	k1 := model.NewClique(model.F(0, 1), model.F(2, 3), model.F(4, 5))
 	k2 := model.NewClique(model.F(0, 1), model.F(6, 7))
-	pipe := map[model.Flow]bool{
-		model.F(0, 1): true, model.F(2, 3): true, model.F(6, 7): true,
-	}
-	if got := FastColor([]model.Clique{k1, k2}, pipe); got != 2 {
+	universe := model.CliqueFlows([]model.Clique{k1, k2})
+	pipe := []model.Flow{model.F(0, 1), model.F(2, 3), model.F(6, 7)}
+	if got := fastColorOf(universe, []model.Clique{k1, k2}, pipe); got != 2 {
 		t.Fatalf("FastColor = %d, want 2", got)
 	}
-	if got := FastColor(nil, pipe); got != 0 {
+	if got := fastColorOf(universe, nil, pipe); got != 0 {
 		t.Fatalf("FastColor with no cliques = %d", got)
 	}
-	if got := FastColor([]model.Clique{k1}, nil); got != 0 {
+	if got := fastColorOf(universe, []model.Clique{k1}, nil); got != 0 {
 		t.Fatalf("FastColor with empty pipe = %d", got)
 	}
 }
 
+// TestFastColorPipeTakesMax checks Section 3.1's pipe estimate: a pipe needs
+// the larger of its two directions' Fast_Color counts, and formal coloring
+// of both directions agrees on this instance.
 func TestFastColorPipeTakesMax(t *testing.T) {
 	k := model.NewClique(model.F(0, 1), model.F(2, 3), model.F(4, 5))
-	fwd := map[model.Flow]bool{model.F(0, 1): true}
-	bwd := map[model.Flow]bool{model.F(2, 3): true, model.F(4, 5): true}
-	if got := FastColorPipe([]model.Clique{k}, fwd, bwd); got != 2 {
-		t.Fatalf("FastColorPipe = %d, want 2", got)
+	ix := model.NewFlowIndex(k)
+	kb := ix.CliqueBits([]model.Clique{k})
+	cm := model.ConflictMatrixFromCliques(ix, []model.Clique{k})
+	fwd := ix.Bits([]model.Flow{model.F(0, 1)})
+	bwd := ix.Bits([]model.Flow{model.F(2, 3), model.F(4, 5)})
+	pipe := func(a, b model.BitSet) (fast, exact int) {
+		fast = max(FastColorBits(kb, a), FastColorBits(kb, b))
+		colorsA, _, _ := ColorPipeDirectionBits(a, cm)
+		colorsB, _, _ := ColorPipeDirectionBits(b, cm)
+		return fast, max(colorsA, colorsB)
 	}
-	if got := FastColorPipe([]model.Clique{k}, bwd, fwd); got != 2 {
-		t.Fatalf("FastColorPipe (swapped) = %d, want 2", got)
+	if fast, exact := pipe(fwd, bwd); fast != 2 || exact != 2 {
+		t.Fatalf("pipe fast/formal = %d/%d, want 2/2", fast, exact)
+	}
+	if fast, exact := pipe(bwd, fwd); fast != 2 || exact != 2 {
+		t.Fatalf("pipe fast/formal (swapped) = %d/%d, want 2/2", fast, exact)
 	}
 }
 
@@ -179,8 +220,14 @@ func TestFastColorIsLowerBoundProperty(t *testing.T) {
 				pipeList = append(pipeList, f)
 			}
 		}
-		lb := FastColor(cliques, pipeFlows)
-		g := BuildFromCliques(pipeList, cliques)
+		ix := model.NewFlowIndex(universe)
+		pipe := ix.Bits(pipeList)
+		lb := FastColorBits(ix.CliqueBits(cliques), pipe)
+		g := BuildConflictGraphBits(pipe, model.ConflictMatrixFromCliques(ix, cliques))
+		if ref := fastColorRef(cliques, pipeFlows); lb != ref {
+			t.Fatalf("trial %d: FastColorBits %d, map oracle %d", trial, lb, ref)
+		}
+		sameGraph(t, g, buildConflictGraphRef(pipeList, contentionRef(cliques)))
 		chrom, assign, exact := g.Exact()
 		if !exact {
 			t.Fatalf("trial %d: exact coloring exhausted on a 10-vertex graph", trial)
@@ -208,15 +255,15 @@ func TestExactMatchesBruteForceSmall(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		n := 2 + rng.Intn(5)
 		fs := flowsN(n)
-		c := model.NewPairSet()
+		var c [][2]int
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
 				if rng.Intn(2) == 0 {
-					c.Add(fs[i], fs[j])
+					c = append(c, [2]int{i, j})
 				}
 			}
 		}
-		g := BuildConflictGraph(fs, c)
+		g := graphOf(fs, c)
 		k, assign, exact := g.Exact()
 		if !exact {
 			t.Fatalf("budget exhausted on %d vertices", n)
@@ -264,8 +311,9 @@ func bruteTry(g *ConflictGraph, assign []int, v, k int) bool {
 
 func TestColorPipeDirection(t *testing.T) {
 	fs := flowsN(4)
-	c := fullContention(fs[:3]) // first three mutually conflict
-	k, assign, exact := ColorPipeDirection(fs, c)
+	ix := model.NewFlowIndex(fs)
+	c := relation(ix, fs, complete(3)) // first three mutually conflict
+	k, assign, exact := ColorPipeDirectionBits(ix.Bits(fs), c)
 	if k != 3 || !exact {
 		t.Fatalf("k=%d exact=%v, want 3", k, exact)
 	}
@@ -279,5 +327,19 @@ func TestColorPipeDirection(t *testing.T) {
 			t.Fatalf("bad assignment %v", assign)
 		}
 		seen[col] = true
+	}
+}
+
+// sameGraph requires two conflict graphs to have identical vertices, edges
+// and degrees.
+func sameGraph(t *testing.T, got, want *ConflictGraph) {
+	t.Helper()
+	if got.N() != want.N() {
+		t.Fatalf("graph has %d vertices, oracle %d", got.N(), want.N())
+	}
+	for i, f := range got.Flows {
+		if f != want.Flows[i] || got.degree[i] != want.degree[i] || !got.adj[i].Equal(want.adj[i]) {
+			t.Fatalf("vertex %d (%v) differs from the oracle", i, f)
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/model"
 	"repro/internal/nas"
+	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
@@ -80,7 +81,10 @@ func BenchmarkSimulateCG16GapMeshReference(b *testing.B) {
 	pat := gapHeavyCG(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunMesh(pat, Config{ReferenceEngine: true}); err != nil {
+		// RunMesh's body, on the reference engine.
+		rows, cols := topology.GridDims(pat.Procs)
+		net, grid := topology.Mesh(rows, cols)
+		if _, err := runReference(pat, net, DOR{Grid: grid}, Config{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -9,8 +9,9 @@ import (
 )
 
 // engine is the event-driven simulation core. It produces results
-// byte-identical to the cycle-stepping reference engine (engine_ref.go) but
-// runs far faster on real traces by:
+// byte-identical to the cycle-stepping reference engine (the oracle in
+// engine_ref_test.go, pinned by equivalence_test.go) but runs far faster on
+// real traces by:
 //
 //   - fast-forwarding e.now across provably idle gaps (long NAS compute
 //     phases, link pipeline transit, deadlock backoff) instead of spinning
@@ -90,14 +91,10 @@ const farFuture = int64(1) << 62
 
 var enginePool = sync.Pool{New: func() any { return new(engine) }}
 
-// Simulate runs the pattern on the network under the given router and
-// returns aggregate results. Deterministic: identical inputs produce
-// identical results. The event-driven core is used unless the configuration
-// selects the retained reference engine.
-func Simulate(pat *model.Pattern, router Router, fb *fabric) (Result, error) {
-	if fb.cfg.ReferenceEngine {
-		return simulateReference(pat, router, fb)
-	}
+// simulate runs the pattern on the fabric under the given router with the
+// event-driven core and returns aggregate results. Deterministic: identical
+// inputs produce identical results.
+func simulate(pat *model.Pattern, router Router, fb *fabric) (Result, error) {
 	e := enginePool.Get().(*engine)
 	e.reset(pat, router, fb)
 	err := e.run()
@@ -537,7 +534,7 @@ func (e *engine) postSend(ni *niState, msgID int) {
 	if err := e.router.Prepare(e.fb, pkt); err != nil {
 		// Unroutable packets indicate a construction bug; deliver a
 		// poisoned result by stalling forever would be worse, so halt
-		// loudly via panic — Simulate callers validate routes first.
+		// loudly via panic — Run callers validate routes first.
 		panic(err)
 	}
 	e.undelivered++

@@ -25,8 +25,7 @@ func runBoth(t *testing.T, name string, pat *model.Pattern, net *topology.Networ
 	fastRes, fastErr := Run(pat, net, router, fcfg)
 	rcfg := cfg
 	rcfg.Obs = refCol
-	rcfg.ReferenceEngine = true
-	refRes, refErr := Run(pat, net, router, rcfg)
+	refRes, refErr := runReference(pat, net, router, rcfg)
 
 	switch {
 	case (fastErr == nil) != (refErr == nil):

@@ -11,6 +11,15 @@ import (
 
 // Run simulates the pattern on the network with the given router.
 func Run(pat *model.Pattern, net *topology.Network, router Router, cfg Config) (Result, error) {
+	return run(pat, net, router, cfg, simulate)
+}
+
+// run validates the inputs, normalizes cfg, builds the fabric, and hands it
+// to the simulation core sim inside the flitsim.run span. Run passes the
+// event-driven core; the equivalence tests pass the cycle-stepping
+// reference through the same path.
+func run(pat *model.Pattern, net *topology.Network, router Router, cfg Config,
+	sim func(*model.Pattern, Router, *fabric) (Result, error)) (Result, error) {
 	if err := pat.Validate(); err != nil {
 		return Result{}, fmt.Errorf("flitsim: %v", err)
 	}
@@ -24,7 +33,7 @@ func Run(pat *model.Pattern, net *topology.Network, router Router, cfg Config) (
 	sp := obs.Span(cfg.Obs, "flitsim.run")
 	defer sp.End()
 	fb := buildFabric(net, cfg)
-	return Simulate(pat, router, fb)
+	return sim(pat, router, fb)
 }
 
 // RunMesh simulates the pattern on a mesh with dimension-order routing.

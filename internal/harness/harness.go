@@ -36,10 +36,8 @@ type Config struct {
 	// are independent, collected in input order, and the first error in
 	// cell order wins (see internal/parallel).
 	Workers int
-	// Sim carries simulator parameters. Harness cells run on flitsim's
-	// event-driven engine by default; Sim.ReferenceEngine selects the
-	// cycle-stepping reference when differentially debugging a cell (the
-	// two produce byte-identical Results, so figures are unaffected).
+	// Sim carries simulator parameters (zero fields select flitsim's
+	// Section 4.2 defaults).
 	Sim flitsim.Config
 	// Obs receives telemetry from the harness itself (one span per
 	// experiment cell, pool-occupancy counters) and is propagated to the

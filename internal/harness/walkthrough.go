@@ -44,32 +44,27 @@ type WalkthroughResult struct {
 func (c Config) Walkthrough() (*WalkthroughResult, error) {
 	pat := nas.Figure1Pattern()
 	cliques := model.MaxCliqueSet(pat)
-	contention := model.ContentionSetFromCliques(cliques)
+	ix := model.NewFlowIndex(pat.Flows())
+	cliqueBits := ix.CliqueBits(cliques)
+	contention := model.ConflictMatrixFromCliques(ix, cliques)
 
 	w := &WalkthroughResult{MaxCliques: len(cliques)}
 
 	cutLinks := func(inA func(int) bool) (fast, exact int) {
-		fwdSet := map[model.Flow]bool{}
-		bwdSet := map[model.Flow]bool{}
-		var fwd, bwd []model.Flow
-		for _, f := range pat.Flows() {
+		fwd, bwd := model.NewBitSet(ix.Len()), model.NewBitSet(ix.Len())
+		for id, f := range ix.Flows() {
 			switch {
 			case inA(f.Src) && !inA(f.Dst):
-				fwdSet[f] = true
-				fwd = append(fwd, f)
+				fwd.Set(id)
 			case !inA(f.Src) && inA(f.Dst):
-				bwdSet[f] = true
-				bwd = append(bwd, f)
+				bwd.Set(id)
 			}
 		}
-		fast = coloring.FastColorPipe(cliques, fwdSet, bwdSet)
-		kf, _, _ := coloring.ColorPipeDirection(fwd, contention)
-		kb, _, _ := coloring.ColorPipeDirection(bwd, contention)
-		exact = kf
-		if kb > exact {
-			exact = kb
-		}
-		return fast, exact
+		// A pipe needs the larger of its two directions' counts.
+		fast = max(coloring.FastColorBits(cliqueBits, fwd), coloring.FastColorBits(cliqueBits, bwd))
+		kf, _, _ := coloring.ColorPipeDirectionBits(fwd, contention)
+		kb, _, _ := coloring.ColorPipeDirectionBits(bwd, contention)
+		return fast, max(kf, kb)
 	}
 	// Cut 1: paper nodes 1-8 vs 9-16 (0-based: 0-7).
 	w.Cut1Links, w.Cut1Exact = cutLinks(func(n int) bool { return n <= 7 })

@@ -38,11 +38,13 @@ func BenchmarkMaxCliques(b *testing.B) {
 	}
 }
 
+// BenchmarkContentionSet measures building C (Definition 4) from a
+// pattern: contention periods expanded into the dense conflict relation.
 func BenchmarkContentionSet(b *testing.B) {
 	p := benchPattern(500)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ContentionSet(p)
+		ConflictMatrixFromCliques(NewFlowIndex(p.Flows()), ContentionPeriods(p))
 	}
 }
 

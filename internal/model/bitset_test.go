@@ -135,7 +135,7 @@ func TestConflictMatrixMatchesPairSet(t *testing.T) {
 		p := benchPattern(150)
 		cliques := MaxCliqueSet(p)
 		ix := NewFlowIndex(CliqueFlows(cliques))
-		ps := ContentionSetFromCliques(cliques)
+		ps := contentionSetFromCliques(cliques)
 		cm := ConflictMatrixFromCliques(ix, cliques)
 		if ps.Len() != cm.Len() {
 			t.Fatalf("trial %d: PairSet.Len %d != ConflictMatrix.Len %d", trial, ps.Len(), cm.Len())
@@ -151,7 +151,7 @@ func TestConflictMatrixMatchesPairSet(t *testing.T) {
 		}
 		// Random second relation: intersection must match PairSet.Intersect
 		// pair-for-pair, order included.
-		ps2 := NewPairSet()
+		ps2 := newPairSet()
 		cm2 := NewConflictMatrix(ix)
 		for k := 0; k < 60; k++ {
 			i, j := rng.Intn(len(fs)), rng.Intn(len(fs))
@@ -171,10 +171,10 @@ func TestConflictMatrixMatchesPairSet(t *testing.T) {
 				t.Fatalf("trial %d: Intersect[%d] = %v, want %v", trial, k, gotPairs[k], wantPairs[k])
 			}
 		}
-		freeWant, witWant := ContentionFree(ps, ps2)
+		freeWant, witWant := contentionFree(ps, ps2)
 		freeGot, witGot := ContentionFreeBits(cm, cm2)
 		if freeWant != freeGot || len(witWant) != len(witGot) {
-			t.Fatalf("trial %d: ContentionFreeBits disagrees with ContentionFree", trial)
+			t.Fatalf("trial %d: ContentionFreeBits disagrees with the map oracle", trial)
 		}
 	}
 }

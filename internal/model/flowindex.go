@@ -1,6 +1,26 @@
 package model
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
+
+// FlowPair is an unordered pair of flows in canonical order (A ≤ B). It is
+// the 4-tuple (s1,d1,s2,d2) of Definitions 4 and 7 with the symmetric
+// redundancy removed, and the witness type of a Theorem 1 violation.
+type FlowPair struct {
+	A, B Flow
+}
+
+// MakeFlowPair canonicalizes the pair so that A ≤ B.
+func MakeFlowPair(a, b Flow) FlowPair {
+	if b.Less(a) {
+		a, b = b, a
+	}
+	return FlowPair{A: a, B: b}
+}
+
+func (p FlowPair) String() string { return fmt.Sprintf("{%v,%v}", p.A, p.B) }
 
 // FlowIndex interns a pattern's flows into dense integer IDs so the
 // contention kernel can run on BitSet arithmetic instead of map hashing.
@@ -73,9 +93,9 @@ func (ix *FlowIndex) CliqueBits(cliques []Clique) []BitSet {
 }
 
 // ConflictMatrix is a pairwise flow relation stored as one conflict BitSet
-// row per flow ID: Has(i, j) is a single bit test. It is the dense form of
-// PairSet for both the potential communication contention set C
-// (Definition 4) and the network resource conflict set R (Definition 7).
+// row per flow ID: Has(i, j) is a single bit test. It represents both the
+// potential communication contention set C (Definition 4) and the network
+// resource conflict set R (Definition 7); C and R must share one FlowIndex.
 // The diagonal is always clear — a flow does not conflict with itself.
 type ConflictMatrix struct {
 	ix   *FlowIndex
@@ -127,8 +147,10 @@ func (m *ConflictMatrix) Len() int {
 	return total / 2
 }
 
-// ConflictMatrixFromCliques builds the dense contention relation C from a
-// clique set — the BitSet counterpart of ContentionSetFromCliques.
+// ConflictMatrixFromCliques builds the contention relation C from a clique
+// set: every unordered pair of distinct flows that share a clique, i.e. are
+// simultaneously in flight at some instant. Clique flows absent from the
+// index are ignored.
 func ConflictMatrixFromCliques(ix *FlowIndex, cliques []Clique) *ConflictMatrix {
 	m := NewConflictMatrix(ix)
 	for _, c := range cliques {
@@ -138,8 +160,7 @@ func ConflictMatrixFromCliques(ix *FlowIndex, cliques []Clique) *ConflictMatrix 
 }
 
 // Intersect returns the unordered pairs present in both relations, sorted
-// by (A, B) — the same order PairSet.Intersect produces, because IDs ascend
-// in Flow.Less order.
+// by (A, B): IDs ascend in Flow.Less order.
 func (m *ConflictMatrix) Intersect(o *ConflictMatrix) []FlowPair {
 	var out []FlowPair
 	n := len(m.rows)
@@ -165,9 +186,10 @@ func (m *ConflictMatrix) Intersect(o *ConflictMatrix) []FlowPair {
 	return out
 }
 
-// ContentionFreeBits applies Theorem 1 on dense relations: the mapping is
-// contention-free iff C ∩ R = ∅. Equivalent to ContentionFree on the
-// PairSet representations, witness order included.
+// ContentionFreeBits applies Theorem 1: the application mapped onto the
+// network is contention-free if C ∩ R = ∅. It returns the (possibly empty)
+// sorted witness list of conflicting pairs; the mapping is contention-free
+// iff the list is empty.
 func ContentionFreeBits(c, r *ConflictMatrix) (bool, []FlowPair) {
 	w := c.Intersect(r)
 	return len(w) == 0, w

@@ -217,13 +217,14 @@ func TestMaxCliquesEqualDuplicates(t *testing.T) {
 }
 
 func TestContentionSetMatchesPairwiseOverlap(t *testing.T) {
-	// The contention set built from cliques must equal the pairwise
+	// The contention relation C built from cliques must equal the pairwise
 	// overlap relation projected onto distinct flow pairs.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		p := randomPattern(rng, 8, 20)
-		fromCliques := ContentionSet(p)
-		direct := NewPairSet()
+		ix := NewFlowIndex(p.Flows())
+		fromCliques := ConflictMatrixFromCliques(ix, ContentionPeriods(p))
+		direct := newPairSet()
 		for _, pr := range p.OverlapPairs() {
 			a, b := p.Messages[pr[0]].Flow(), p.Messages[pr[1]].Flow()
 			if a.Src == a.Dst || b.Src == b.Dst || a == b {
@@ -231,11 +232,13 @@ func TestContentionSetMatchesPairwiseOverlap(t *testing.T) {
 			}
 			direct.Add(a, b)
 		}
-		if len(fromCliques) != len(direct) {
-			t.Fatalf("trial %d: |C| from cliques %d != from overlap %d", trial, len(fromCliques), len(direct))
+		if fromCliques.Len() != direct.Len() {
+			t.Fatalf("trial %d: |C| from cliques %d != from overlap %d", trial, fromCliques.Len(), direct.Len())
 		}
 		for pr := range direct {
-			if !fromCliques.Has(pr.A, pr.B) {
+			i, _ := ix.ID(pr.A)
+			j, _ := ix.ID(pr.B)
+			if !fromCliques.Has(i, j) {
 				t.Fatalf("trial %d: pair %v missing from clique-derived C", trial, pr)
 			}
 		}
@@ -255,8 +258,10 @@ func randomPattern(rng *rand.Rand, procs, msgs int) *Pattern {
 	return p
 }
 
+// TestPairSetBasics checks the map oracle the dense kernel is compared
+// against.
 func TestPairSetBasics(t *testing.T) {
-	s := NewPairSet()
+	s := newPairSet()
 	s.Add(Flow{1, 2}, Flow{3, 4})
 	if !s.Has(Flow{3, 4}, Flow{1, 2}) {
 		t.Fatal("PairSet not symmetric")
@@ -265,7 +270,7 @@ func TestPairSetBasics(t *testing.T) {
 	if s.Len() != 1 {
 		t.Fatalf("duplicate unordered pair stored twice: len=%d", s.Len())
 	}
-	other := NewPairSet()
+	other := newPairSet()
 	other.Add(Flow{1, 2}, Flow{3, 4})
 	other.Add(Flow{5, 6}, Flow{7, 8})
 	inter := s.Intersect(other)
@@ -275,16 +280,18 @@ func TestPairSetBasics(t *testing.T) {
 }
 
 func TestTheorem1(t *testing.T) {
-	c := NewPairSet()
-	c.Add(Flow{0, 1}, Flow{2, 3})
-	r := NewPairSet()
-	r.Add(Flow{4, 5}, Flow{6, 7})
-	if free, w := ContentionFree(c, r); !free || len(w) != 0 {
+	ix := NewFlowIndex([]Flow{{0, 1}, {2, 3}, {4, 5}, {6, 7}})
+	id := func(f Flow) int { i, _ := ix.ID(f); return i }
+	c := NewConflictMatrix(ix)
+	c.Add(id(Flow{0, 1}), id(Flow{2, 3}))
+	r := NewConflictMatrix(ix)
+	r.Add(id(Flow{4, 5}), id(Flow{6, 7}))
+	if free, w := ContentionFreeBits(c, r); !free || len(w) != 0 {
 		t.Fatalf("disjoint C and R should be contention-free, got %v", w)
 	}
-	r.Add(Flow{2, 3}, Flow{0, 1})
-	free, w := ContentionFree(c, r)
-	if free || len(w) != 1 {
+	r.Add(id(Flow{2, 3}), id(Flow{0, 1}))
+	free, w := ContentionFreeBits(c, r)
+	if free || len(w) != 1 || w[0] != MakeFlowPair(Flow{0, 1}, Flow{2, 3}) {
 		t.Fatalf("overlapping C and R should not be contention-free, witnesses=%v", w)
 	}
 }
@@ -359,9 +366,10 @@ func TestMaxCliquesProperty(t *testing.T) {
 			}
 		}
 		// And the pairwise contention sets must be identical.
-		c1, c2 := ContentionSetFromCliques(all), ContentionSetFromCliques(maxed)
-		if len(c1) != len(c2) {
-			t.Fatalf("trial %d: contention set changed by reduction: %d vs %d", trial, len(c1), len(c2))
+		ix := NewFlowIndex(u1)
+		c1, c2 := ConflictMatrixFromCliques(ix, all), ConflictMatrixFromCliques(ix, maxed)
+		if c1.Len() != c2.Len() || len(c1.Intersect(c2)) != c1.Len() {
+			t.Fatalf("trial %d: contention set changed by reduction: %d vs %d", trial, c1.Len(), c2.Len())
 		}
 	}
 }

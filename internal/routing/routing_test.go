@@ -7,6 +7,18 @@ import (
 	"repro/internal/topology"
 )
 
+// conflicts computes R over the table's own flows and returns its
+// membership test.
+func conflicts(t *Table) func(a, b model.Flow) bool {
+	ix := model.NewFlowIndex(t.SortedFlows())
+	r := t.ConflictMatrix(ix)
+	return func(a, b model.Flow) bool {
+		i, iok := ix.ID(a)
+		j, jok := ix.ID(b)
+		return iok && jok && r.Has(i, j)
+	}
+}
+
 func allPairs(procs int) []model.Flow {
 	var fs []model.Flow
 	for s := 0; s < procs; s++ {
@@ -152,11 +164,15 @@ func TestCrossbarTable(t *testing.T) {
 	}
 	// Crossbar conflict set: flows conflict only at shared injection or
 	// ejection ports (same src or same dst).
-	r := tab.ConflictSet()
-	for p := range r {
-		if p.A.Src != p.B.Src && p.A.Dst != p.B.Dst {
-			t.Fatalf("crossbar conflict between independent flows %v", p)
-		}
+	ix := model.NewFlowIndex(tab.SortedFlows())
+	r := tab.ConflictMatrix(ix)
+	for i := 0; i < ix.Len(); i++ {
+		r.Row(i).ForEach(func(j int) {
+			a, b := ix.Flow(i), ix.Flow(j)
+			if a.Src != b.Src && a.Dst != b.Dst {
+				t.Fatalf("crossbar conflict between independent flows %v", model.MakeFlowPair(a, b))
+			}
+		})
 	}
 	mesh, _ := topology.Mesh(2, 4)
 	if _, err := CrossbarTable(mesh, nil); err == nil {
@@ -178,12 +194,12 @@ func TestConflictSetSharedLink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := tab.ConflictSet()
-	if !r.Has(model.F(0, 2), model.F(1, 2)) {
+	has := conflicts(tab)
+	if !has(model.F(0, 2), model.F(1, 2)) {
 		t.Error("flows sharing s1->s2 link not in R")
 	}
 	// Opposite directions of a full-duplex link do not conflict.
-	if r.Has(model.F(0, 2), model.F(2, 0)) {
+	if has(model.F(0, 2), model.F(2, 0)) {
 		t.Error("opposite-direction flows conflict")
 	}
 }
@@ -204,13 +220,11 @@ func TestConflictSetLinkIndexSeparation(t *testing.T) {
 	if err := tab.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := tab.ConflictSet()
-	if r.Has(model.F(0, 2), model.F(1, 3)) {
+	if conflicts(tab)(model.F(0, 2), model.F(1, 3)) {
 		t.Error("flows on different links of one pipe conflict")
 	}
 	tab.Routes[model.F(1, 3)] = Route{Switches: []topology.SwitchID{a, b}, Links: []int{0}}
-	r = tab.ConflictSet()
-	if !r.Has(model.F(0, 2), model.F(1, 3)) {
+	if !conflicts(tab)(model.F(0, 2), model.F(1, 3)) {
 		t.Error("flows on the same link do not conflict")
 	}
 }
@@ -218,14 +232,14 @@ func TestConflictSetLinkIndexSeparation(t *testing.T) {
 func TestConflictSetInjectionPort(t *testing.T) {
 	net := topology.Crossbar(3)
 	tab, _ := CrossbarTable(net, []model.Flow{model.F(0, 1), model.F(0, 2), model.F(1, 0), model.F(2, 0)})
-	r := tab.ConflictSet()
-	if !r.Has(model.F(0, 1), model.F(0, 2)) {
+	has := conflicts(tab)
+	if !has(model.F(0, 1), model.F(0, 2)) {
 		t.Error("same-source flows must conflict at the injection port")
 	}
-	if !r.Has(model.F(1, 0), model.F(2, 0)) {
+	if !has(model.F(1, 0), model.F(2, 0)) {
 		t.Error("same-destination flows must conflict at the ejection port")
 	}
-	if r.Has(model.F(0, 1), model.F(1, 0)) {
+	if has(model.F(0, 1), model.F(1, 0)) {
 		t.Error("inject and eject of one processor are separate full-duplex directions")
 	}
 }
@@ -265,9 +279,10 @@ func TestTheoremOneMeshContentionFreeCase(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := model.NewPairSet()
-	c.Add(flows[0], flows[1])
-	free, _ := model.ContentionFree(c, tab.ConflictSet())
+	ix := model.NewFlowIndex(flows)
+	c := model.NewConflictMatrix(ix)
+	c.Add(0, 1)
+	free, _ := model.ContentionFreeBits(c, tab.ConflictMatrix(ix))
 	if !free {
 		t.Fatal("parallel disjoint flows flagged as contention")
 	}

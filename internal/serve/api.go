@@ -1,5 +1,5 @@
 // The versioned v1 HTTP surface: every endpoint lives under /v1/ (the
-// unversioned paths remain as byte-identical aliases for one release), all
+// unversioned paths of the first release are gone and return 404), all
 // error statuses share one typed JSON envelope, and POST /v1/designs batches
 // N design requests into an NDJSON stream ordered by completion.
 package serve

@@ -19,7 +19,7 @@ func TestDesignHier(t *testing.T) {
 	defer ts.Close()
 
 	body := `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "flow:4"}}`
-	resp, raw := postDesign(t, ts.URL+"/v1", body)
+	resp, raw := postDesign(t, ts.URL, body)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, raw)
 	}
@@ -54,7 +54,7 @@ func TestDesignHier(t *testing.T) {
 			dr.Switches, dr.Links, d.TotalSwitches(), d.TotalLinks())
 	}
 
-	resp2, raw2 := postDesign(t, ts.URL+"/v1", body)
+	resp2, raw2 := postDesign(t, ts.URL, body)
 	if got := resp2.Header.Get("X-Nocd-Cache"); got != "hit" {
 		t.Errorf("repeat request cache %q, want hit", got)
 	}
@@ -71,8 +71,8 @@ func TestDesignHierKeying(t *testing.T) {
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	flatResp, _ := postDesign(t, ts.URL+"/v1", `{"benchmark": "CG", "procs": 16}`)
-	hierResp, _ := postDesign(t, ts.URL+"/v1", `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "4"}}`)
+	flatResp, _ := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16}`)
+	hierResp, _ := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "4"}}`)
 	if flatResp.Header.Get("X-Nocd-Pattern-Hash") == hierResp.Header.Get("X-Nocd-Pattern-Hash") {
 		t.Error("flat and hier requests share a cache key")
 	}
@@ -81,11 +81,11 @@ func TestDesignHierKeying(t *testing.T) {
 	}
 
 	// "flow:4" spells the same partition as "4": must hit.
-	same, _ := postDesign(t, ts.URL+"/v1", `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "flow:4"}}`)
+	same, _ := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "flow:4"}}`)
 	if got := same.Header.Get("X-Nocd-Cache"); got != "hit" {
 		t.Errorf("equivalent cluster spec: cache %q, want hit", got)
 	}
-	other, _ := postDesign(t, ts.URL+"/v1", `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "blocks:4"}}`)
+	other, _ := postDesign(t, ts.URL, `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "blocks:4"}}`)
 	if got := other.Header.Get("X-Nocd-Cache"); got != "miss" {
 		t.Errorf("different cluster spec: cache %q, want miss", got)
 	}
@@ -109,7 +109,7 @@ func TestDesignHierBadRequests(t *testing.T) {
 		"negative knob":  `{"benchmark": "CG", "procs": 16, "hier": {"clusters": "4", "gateway_width": -1}}`,
 		"unknown field":  `{"benchmark": "CG", "procs": 16, "hier": {"clusterz": "4"}}`,
 	} {
-		resp, raw := postDesign(t, ts.URL+"/v1", body)
+		resp, raw := postDesign(t, ts.URL, body)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400 (%s)", name, resp.StatusCode, raw)
 			continue

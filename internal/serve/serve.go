@@ -21,7 +21,7 @@
 // request is still waiting on the same key — behind an admission gate
 // bounding concurrent syntheses and queue depth, with a separate bulk lane
 // watermark so sweeps cannot starve interactive traffic. The HTTP surface
-// is versioned under /v1/ (api.go; the unversioned paths are aliases), with
+// is versioned under /v1/ (api.go; there are no unversioned paths), with
 // POST /v1/designs batching N requests into a completion-ordered NDJSON
 // stream. Everything is observed through internal/obs: serve.* counters
 // plus the synth.*/coloring.* counters of the work itself land in the
@@ -280,16 +280,13 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.SetPeers(cfg.Self, cfg.Peers)
 
-	// The canonical surface lives under /v1/; the unversioned paths stay
-	// registered as byte-identical aliases for one release.
-	for _, prefix := range []string{"/" + APIVersion, ""} {
-		s.mux.HandleFunc("POST "+prefix+"/design", s.handleDesign)
-		s.mux.HandleFunc("POST "+prefix+"/designs", s.handleBatch)
-		s.mux.HandleFunc("GET "+prefix+"/design/{key}", s.handleGetDesign)
-		s.mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealthz)
-		s.mux.HandleFunc("GET "+prefix+"/metrics", s.handleMetrics)
-		s.mux.HandleFunc("GET "+prefix+"/benchmarks", s.handleBenchmarks)
-	}
+	const prefix = "/" + APIVersion
+	s.mux.HandleFunc("POST "+prefix+"/design", s.handleDesign)
+	s.mux.HandleFunc("POST "+prefix+"/designs", s.handleBatch)
+	s.mux.HandleFunc("GET "+prefix+"/design/{key}", s.handleGetDesign)
+	s.mux.HandleFunc("GET "+prefix+"/healthz", s.handleHealthz)
+	s.mux.HandleFunc("GET "+prefix+"/metrics", s.handleMetrics)
+	s.mux.HandleFunc("GET "+prefix+"/benchmarks", s.handleBenchmarks)
 	return s, nil
 }
 

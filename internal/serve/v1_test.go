@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -37,20 +36,14 @@ func do(t *testing.T, method, url, body string) (*http.Response, []byte) {
 	return resp, b
 }
 
-// TestV1AliasesByteIdentical pins the one-release compatibility window: the
-// unversioned paths must answer byte-for-byte like their /v1/ twins, cache
-// and warm headers included, so clients can migrate in either direction.
-func TestV1AliasesByteIdentical(t *testing.T) {
+// TestV1AliasesRetired pins the end of the unversioned aliases: each path
+// answers only under /v1/, and its unversioned twin is 404.
+func TestV1AliasesRetired(t *testing.T) {
 	srv := newTestServer(t, quickConfig())
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
-	// Populate the cache so both /design POSTs below replay the same entry.
 	const body = `{"benchmark":"CG","procs":16}`
-	if resp, b := do(t, http.MethodPost, ts.URL+"/v1/design", body); resp.StatusCode != http.StatusOK {
-		t.Fatalf("priming request: status %d: %s", resp.StatusCode, b)
-	}
-
 	cases := []struct {
 		method, path, body string
 	}{
@@ -60,30 +53,23 @@ func TestV1AliasesByteIdentical(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.method+" "+tc.path, func(t *testing.T) {
-			v1, v1b := do(t, tc.method, ts.URL+"/v1"+tc.path, tc.body)
-			al, alb := do(t, tc.method, ts.URL+tc.path, tc.body)
-			if v1.StatusCode != al.StatusCode {
-				t.Fatalf("status: /v1 %d vs alias %d", v1.StatusCode, al.StatusCode)
+			if v1, b := do(t, tc.method, ts.URL+"/v1"+tc.path, tc.body); v1.StatusCode != http.StatusOK {
+				t.Fatalf("/v1%s: status %d: %s", tc.path, v1.StatusCode, b)
 			}
-			if !bytes.Equal(v1b, alb) {
-				t.Errorf("bodies differ: /v1 %d bytes, alias %d bytes", len(v1b), len(alb))
-			}
-			for _, h := range []string{"Content-Type", "X-Nocd-Cache", "X-Nocd-Pattern-Hash", "X-Nocd-Warm"} {
-				if v1.Header.Get(h) != al.Header.Get(h) {
-					t.Errorf("%s: /v1 %q vs alias %q", h, v1.Header.Get(h), al.Header.Get(h))
-				}
+			if al, _ := do(t, tc.method, ts.URL+tc.path, tc.body); al.StatusCode != http.StatusNotFound {
+				t.Errorf("%s %s: status %d, want 404", tc.method, tc.path, al.StatusCode)
 			}
 		})
 	}
 
-	// The replay endpoint too: fetch the primed key through both prefixes.
+	// The replay endpoint too: the primed key resolves only under /v1/.
 	resp, _ := do(t, http.MethodPost, ts.URL+"/v1/design", body)
 	key := resp.Header.Get("X-Nocd-Pattern-Hash")
-	v1, v1b := do(t, http.MethodGet, ts.URL+"/v1/design/"+key, "")
-	al, alb := do(t, http.MethodGet, ts.URL+"/design/"+key, "")
-	if v1.StatusCode != http.StatusOK || al.StatusCode != http.StatusOK || !bytes.Equal(v1b, alb) {
-		t.Errorf("GET design/{key}: /v1 %d (%d bytes) vs alias %d (%d bytes)",
-			v1.StatusCode, len(v1b), al.StatusCode, len(alb))
+	if v1, _ := do(t, http.MethodGet, ts.URL+"/v1/design/"+key, ""); v1.StatusCode != http.StatusOK {
+		t.Errorf("GET /v1/design/{key}: status %d, want 200", v1.StatusCode)
+	}
+	if al, _ := do(t, http.MethodGet, ts.URL+"/design/"+key, ""); al.StatusCode != http.StatusNotFound {
+		t.Errorf("GET /design/{key}: status %d, want 404", al.StatusCode)
 	}
 }
 

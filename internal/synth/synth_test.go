@@ -257,8 +257,10 @@ func TestTheoremOneByConstruction(t *testing.T) {
 		if !res.ExactColoring {
 			t.Logf("%s: coloring fell back to greedy (budget)", name)
 		}
-		c := model.ContentionSetFromCliques(res.Cliques)
-		free, wit := model.ContentionFree(c, res.Table.ConflictSet())
+		// Rebuild R from the raw routes over C's index.
+		ix := model.NewFlowIndex(pat.Flows())
+		c := model.ConflictMatrixFromCliques(ix, res.Cliques)
+		free, wit := model.ContentionFreeBits(c, res.Table.ConflictMatrix(ix))
 		if !free {
 			t.Errorf("%s: %d C∩R witnesses, e.g. %v", name, len(wit), wit[0])
 		}

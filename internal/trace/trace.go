@@ -138,18 +138,19 @@ func Summarize(p *model.Pattern) Stats {
 			largest = len(c)
 		}
 	}
+	flows := p.Flows()
 	start, finish := p.Span()
 	return Stats{
 		Procs:        p.Procs,
 		Messages:     len(p.Messages),
-		Flows:        len(p.Flows()),
+		Flows:        len(flows),
 		Phases:       len(p.Phases),
 		Periods:      len(periods),
 		MaxPeriods:   len(maxed),
 		LargestCliq:  largest,
 		TotalBytes:   p.TotalBytes(),
 		Span:         finish - start,
-		ContentionSz: model.ContentionSetFromCliques(maxed).Len(),
+		ContentionSz: model.ConflictMatrixFromCliques(model.NewFlowIndex(flows), maxed).Len(),
 	}
 }
 
